@@ -22,8 +22,6 @@ HostBuilder::workload(const std::string &preset,
     }
     AppSpec spec;
     spec.profile = std::move(profile);
-    spec.mode = defaultMode_;
-    spec.useDefaultMode = true;
     apps_.push_back(std::move(spec));
     return *this;
 }
@@ -45,14 +43,8 @@ HostBuilder::resolvedApps() const
         if (traffic_.enabled() && app.profile.offeredRps > 0.0 &&
             !app.profile.traffic.enabled())
             app.profile.traffic = traffic_;
-        if (!app.useDefaultMode)
-            continue;
-        if (useDefaultTiers_) {
+        if (!app.tiers)
             app.tiers = defaultTiers_;
-            app.useTiers = true;
-        } else {
-            app.mode = defaultMode_;
-        }
     }
     return apps;
 }

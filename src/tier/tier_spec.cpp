@@ -117,6 +117,8 @@ TierChainSpec::toString() const
             text += '+';
         text += tier.token();
     }
+    if (placement == TierPlacement::WORKINGSET)
+        text += "@workingset";
     return text;
 }
 
@@ -126,18 +128,32 @@ TierChainSpec::parse(const std::string &text)
     TierChainSpec spec;
     if (text.empty() || text == "none")
         return spec;
+    const std::size_t at = text.find('@');
+    const std::string chain = text.substr(0, at);
+    if (at != std::string::npos) {
+        const std::string placement = text.substr(at + 1);
+        if (placement != "workingset")
+            throw std::invalid_argument(
+                "bad tier chain '" + text + "': unknown placement '" +
+                placement + "' (expected workingset)");
+        if (chain.empty() || chain == "none")
+            throw std::invalid_argument(
+                "bad tier chain '" + text +
+                "': placement needs at least one tier");
+        spec.placement = TierPlacement::WORKINGSET;
+    }
     std::size_t start = 0;
-    while (start <= text.size()) {
-        std::size_t plus = text.find('+', start);
+    while (start <= chain.size()) {
+        std::size_t plus = chain.find('+', start);
         if (plus == std::string::npos)
-            plus = text.size();
-        const std::string token = text.substr(start, plus - start);
+            plus = chain.size();
+        const std::string token = chain.substr(start, plus - start);
         if (token.empty())
             throw std::invalid_argument("bad tier chain '" + text +
                                         "': empty tier token");
         spec.tiers.push_back(parseTier(token));
         start = plus + 1;
-        if (plus == text.size())
+        if (plus == chain.size())
             break;
     }
     if (spec.tiers.size() > 8)

@@ -7,9 +7,8 @@
  * compressed warm tier in front of the SSD swap partition. The spec is
  * a pure value type: parsing and validation happen here, materializing
  * the actual backends (host singletons or dedicated capped pools) is
- * the Host's job. This replaces the hard-coded host::AnonMode switch;
- * AnonMode survives only as a deprecated shim mapping onto one- and
- * two-tier chains.
+ * the Host's job. An optional "@workingset" suffix selects the §5.2
+ * working-set placement instead of the default hotness placement.
  */
 
 #pragma once
@@ -34,6 +33,16 @@ enum class TierKind {
 /** Spec name of a kind ("zswap", "ssd", "nvm"). */
 const char *tierKindName(TierKind kind);
 
+/** How a chain picks the entry tier for an evicted page. */
+enum class TierPlacement {
+    /** Decay-aged per-page heat chooses the tier (TPP-style), with
+     *  budgeted background promotion/demotion. */
+    HOTNESS,
+    /** Working-set pages to tier 0, others to the last tier, with no
+     *  background movement (the §5.2 zswap-warm/SSD-cold split). */
+    WORKINGSET,
+};
+
 /** One tier of a chain. */
 struct TierSpec {
     TierKind kind = TierKind::ZSWAP;
@@ -52,24 +61,28 @@ struct TierSpec {
 };
 
 /**
- * An ordered chain of tiers, fastest first. Empty = no anon
- * offloading (file-only reclaim, AnonMode::NONE).
+ * An ordered chain of tiers, fastest first, plus its placement
+ * policy. Empty = no anon offloading (file-only reclaim).
  */
 struct TierChainSpec {
     std::vector<TierSpec> tiers;
+    TierPlacement placement = TierPlacement::HOTNESS;
 
     bool empty() const { return tiers.empty(); }
     std::size_t size() const { return tiers.size(); }
 
-    /** Canonical string form ("zswap:256mb+ssd", "none" when empty). */
+    /** Canonical string form ("zswap:256mb+ssd", "zswap+ssd@workingset",
+     *  "none" when empty); the default hotness placement is not
+     *  printed. */
     std::string toString() const;
 
     /**
-     * Parse "tier[+tier...]" where each tier is
+     * Parse "tier[+tier...][@workingset]" where each tier is
      * `zswap|ssd|nvm|cxl[:<cap>]` and cap is an integer with a
      * kb/mb/gb suffix (e.g. "zswap:256mb+ssd"). "none" or "" parses
-     * to the empty chain. "cxl" is an alias for "nvm" (the host's NVM
-     * preset decides the device model).
+     * to the empty chain, which takes no placement suffix. "cxl" is
+     * an alias for "nvm" (the host's NVM preset decides the device
+     * model).
      *
      * @throws std::invalid_argument naming the offending token.
      */

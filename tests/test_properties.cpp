@@ -90,7 +90,7 @@ TEST_P(ReclaimPropertyTest, BoundsAndConservation)
     host::Host machine(simulation, config);
     auto &app = machine.addApp(
         workload::appPreset("feed", param.footprint_mb << 20),
-        param.zswap ? host::AnonMode::ZSWAP : host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse(param.zswap ? "zswap" : "ssd"));
     app.start();
     machine.start();
     simulation.runUntil(5 * sim::SEC);
@@ -168,6 +168,15 @@ struct SenpaiSweepParam {
     char ssd;
 };
 
+// Printed into the ctest name; without it gtest dumps the struct's raw
+// bytes, which include the ASLR-randomised address of `app`, so every
+// test listing named these cases differently.
+void PrintTo(const SenpaiSweepParam &param, std::ostream *os)
+{
+    *os << param.app << (param.zswap ? " via zswap" : " via ssd")
+        << ", SSD class " << param.ssd;
+}
+
 class SenpaiPropertyTest
     : public ::testing::TestWithParam<SenpaiSweepParam>
 {};
@@ -183,7 +192,7 @@ TEST_P(SenpaiPropertyTest, MildPressureAndRealSavings)
     host::Host machine(simulation, config);
     auto &app = machine.addApp(
         workload::appPreset(param.app, 1ull << 30),
-        param.zswap ? host::AnonMode::ZSWAP : host::AnonMode::SWAP_SSD);
+        tier::TierChainSpec::parse(param.zswap ? "zswap" : "ssd"));
     machine.start();
     app.start();
     simulation.runUntil(30 * sim::SEC);

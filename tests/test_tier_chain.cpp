@@ -4,18 +4,21 @@
  * and round-trips, per-page hotness decays and saturates correctly,
  * placement maps heat onto chain positions, stores fall through caps
  * and offline tiers, background maintenance demotes cooled pages and
- * promotes reheated ones under the movement budget, the deprecated
- * AnonMode shims stay byte-identical to spec-built one-tier chains,
- * tier faults degrade (not fail) the aggregate status, and a
- * three-tier fleet run is bit-identical for any --jobs.
+ * promotes reheated ones under the movement budget, every basic chain
+ * reproduces its recorded golden host digest bit for bit, tier faults
+ * degrade (not fail) the aggregate status, and a three-tier fleet run
+ * is bit-identical for any --jobs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <iomanip>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/nvm.hpp"
@@ -60,6 +63,15 @@ TEST(TierSpecTest, ParsesChainsAndRoundTrips)
     EXPECT_EQ(chain.tiers[1].capBytes, 0u);
     EXPECT_EQ(chain.toString(), "zswap:256mb+ssd");
     EXPECT_EQ(tier::TierChainSpec::parse(chain.toString()), chain);
+    EXPECT_EQ(chain.placement, tier::TierPlacement::HOTNESS);
+
+    // "@workingset" selects the §5.2 placement; the default hotness
+    // placement is not printed.
+    const auto ws = tier::TierChainSpec::parse("zswap+ssd@workingset");
+    ASSERT_EQ(ws.size(), 2u);
+    EXPECT_EQ(ws.placement, tier::TierPlacement::WORKINGSET);
+    EXPECT_EQ(ws.toString(), "zswap+ssd@workingset");
+    EXPECT_EQ(tier::TierChainSpec::parse(ws.toString()), ws);
 
     // "cxl" is an alias for the NVM backend.
     EXPECT_EQ(tier::TierChainSpec::parse("cxl").tiers[0].kind,
@@ -89,6 +101,11 @@ TEST(TierSpecTest, RejectsMalformedSpecs)
     bad("zswap:0mb");       // zero cap
     bad("zswap++ssd");      // empty token
     bad("zswap+zswap+zswap+zswap+zswap+zswap+zswap+zswap+ssd"); // 9 tiers
+    bad("zswap+ssd@");                  // empty placement
+    bad("zswap+ssd@hot");               // unknown placement
+    bad("@workingset");                 // placement without tiers
+    bad("none@workingset");             // placement on the empty chain
+    bad("zswap@workingset@workingset"); // repeated suffix
 
     std::string error;
     EXPECT_TRUE(
@@ -168,13 +185,13 @@ TEST(TierChainTest, PlacementIndexMapsHeatAcrossTiers)
         last = idx;
     }
 
-    // Legacy shim placement ignores heat entirely.
-    tier::TierChainConfig legacy;
-    legacy.placement = tier::TierPlacement::WORKINGSET;
-    legacy.moveBudgetBytes = 0;
-    tier::TierChain shim("shim", {a.get(), c.get()}, legacy);
-    EXPECT_EQ(shim.placementIndex(0, true), 0);
-    EXPECT_EQ(shim.placementIndex(7, false), 1);
+    // Working-set placement ignores heat entirely.
+    tier::TierChainConfig ws_config;
+    ws_config.placement = tier::TierPlacement::WORKINGSET;
+    ws_config.moveBudgetBytes = 0;
+    tier::TierChain ws("ws", {a.get(), c.get()}, ws_config);
+    EXPECT_EQ(ws.placementIndex(0, true), 0);
+    EXPECT_EQ(ws.placementIndex(7, false), 1);
 }
 
 TEST(TierChainTest, StoreFallsThroughCapsAndOfflineTiers)
@@ -366,7 +383,7 @@ TEST(TierMaintainTest, MovementRespectsTheByteBudget)
               machine.chains().front()->config().moveBudgetBytes);
 }
 
-// --- AnonMode shim equivalence ----------------------------------------------
+// --- golden host digests ----------------------------------------------------
 
 namespace
 {
@@ -391,68 +408,104 @@ hostDigest(host::Host &machine)
     };
 }
 
-template <typename Backend>
-std::vector<double>
-runShimHost(const Backend &backend_choice)
+/**
+ * hostDigest() of a 3-minute feed run under Senpai on @p tiers, as
+ * "%.17g" values joined by spaces (17 digits round-trip a double, so
+ * equal text means bit-identical values).
+ */
+std::string
+feedDigestText(const std::string &tiers)
 {
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(profile, backend_choice);
+    auto &app =
+        machine.addApp(profile, tier::TierChainSpec::parse(tiers));
     machine.start();
     app.start();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());
     senpai.start();
     simulation.runUntil(3 * sim::MINUTE);
-    return hostDigest(machine);
+    std::ostringstream text;
+    text << std::setprecision(17);
+    for (const double value : hostDigest(machine))
+        text << (text.tellp() > 0 ? " " : "") << value;
+    return text.str();
 }
 
 } // namespace
 
-TEST(ShimEquivalenceTest, AnonModeMatchesOneTierChainByteForByte)
+TEST(TierChainGoldenTest, BasicChainsReproduceRecordedDigests)
 {
-    // The deprecated AnonMode::ZSWAP shim and the spec-built "zswap"
-    // chain must be indistinguishable: a one-tier chain has a single
-    // placement target and no maintenance, so only the plumbing
-    // differs — and plumbing must not show up in results.
-    EXPECT_EQ(runShimHost(host::AnonMode::ZSWAP),
-              runShimHost(tier::TierChainSpec::parse("zswap")));
-    EXPECT_EQ(runShimHost(host::AnonMode::SWAP_SSD),
-              runShimHost(tier::TierChainSpec::parse("ssd")));
+    // Recorded when hosts still picked their offload backend from a
+    // fixed enum, whose five modes these spec strings replaced. A
+    // one-tier chain has a single placement target and no maintenance,
+    // and "@workingset" carries the two-tier mode's placement and zero
+    // move budget, so every run must match bit for bit.
+    const std::pair<const char *, const char *> golden[] = {
+        {"none", "536412160 0 0 63 61 0 0 0 1198.0504957456985 151565531"},
+        {"ssd",
+         "536477696 25 25 64 38 0 0 1638400 1198.0504957456985 193090720"},
+        {"zswap", "536543232 45 45 71 26 0 0 0 1198.0504957456985 75937120"},
+        {"nvm", "536412160 36 38 77 39 0 0 0 1198.0504957456985 72515328"},
+        {"zswap+ssd@workingset",
+         "536477696 25 25 64 38 0 0 1376256 1198.0504957456985 128283280"},
+    };
+    for (const auto &[tiers, digest] : golden)
+        EXPECT_EQ(feedDigestText(tiers), digest) << tiers;
 }
 
 // --- per-tier observability --------------------------------------------------
 
 TEST(TierMetricsTest, SpecChainsExportPerTierSeries)
 {
-    sim::Simulation simulation;
-    host::Host machine(simulation, hostConfig());
-    auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(
-        profile, tier::TierChainSpec::parse("zswap:64mb+ssd"));
-    machine.enableMetrics(6 * sim::SEC);
-    machine.start();
-    app.start();
-    simulation.runUntil(30 * sim::SEC);
-    setAllHeat(machine, 7);
-    machine.memory().reclaim(app.cgroup(), 200ull << 20,
-                             simulation.now());
+    for (const char *spec :
+         {"zswap:64mb+ssd", "zswap", "zswap+ssd@workingset"}) {
+        sim::Simulation simulation;
+        host::Host machine(simulation, hostConfig());
+        auto profile = workload::appPreset("feed", 512ull << 20);
+        const auto tiers = tier::TierChainSpec::parse(spec);
+        auto &app = machine.addApp(profile, tiers);
+        machine.enableMetrics(6 * sim::SEC);
+        machine.start();
+        app.start();
+        simulation.runUntil(30 * sim::SEC);
+        setAllHeat(machine, 7);
+        machine.memory().reclaim(app.cgroup(), 200ull << 20,
+                                 simulation.now());
 
-    const std::string prefix = "app." + app.cgroup().name() + ".";
-    auto *sampler = machine.sampler();
-    ASSERT_NE(sampler, nullptr);
-    // Sample before the workload faults the evicted pages back.
-    sampler->sampleOnce();
-    for (const char *name :
-         {"tier.0.pages", "tier.0.bytes", "tier.1.pages",
-          "tier.1.bytes", "tier.demoted", "tier.promoted"})
-        EXPECT_NE(sampler->find(prefix + name), nullptr) << name;
+        const std::string prefix = "app." + app.cgroup().name() + ".";
+        auto *sampler = machine.sampler();
+        ASSERT_NE(sampler, nullptr);
+        // Sample before the workload faults the evicted pages back.
+        sampler->sampleOnce();
+        const auto last = [&](const std::string &name) {
+            const auto *series = sampler->find(prefix + name);
+            return series && !series->samples().empty()
+                       ? series->samples().back().value
+                       : -1.0;
+        };
+        double offloaded = 0.0;
+        for (std::size_t t = 0; t < tiers.size(); ++t) {
+            const std::string tp = "tier." + std::to_string(t);
+            EXPECT_GE(last(tp + ".bytes"), 0.0) << spec << " " << tp;
+            EXPECT_GE(last(tp + ".pages"), 0.0) << spec << " " << tp;
+            offloaded += last(tp + ".pages");
+        }
+        EXPECT_EQ(sampler->find(prefix + "tier." +
+                                std::to_string(tiers.size()) + ".pages"),
+                  nullptr)
+            << spec;
+        EXPECT_GE(last("tier.demoted"), 0.0) << spec;
+        EXPECT_GE(last("tier.promoted"), 0.0) << spec;
+        EXPECT_GT(offloaded, 0.0) << spec;
 
-    // The warm tier holds the evicted hot pages.
-    const auto *pages0 = sampler->find(prefix + "tier.0.pages");
-    ASSERT_NE(pages0, nullptr);
-    ASSERT_FALSE(pages0->samples().empty());
-    EXPECT_GT(pages0->samples().back().value, 0.0);
+        // Under hotness placement the warm tier holds the evicted hot
+        // pages.
+        if (tiers.placement == tier::TierPlacement::HOTNESS) {
+            EXPECT_GT(last("tier.0.pages"), 0.0) << spec;
+        }
+    }
 }
 
 // --- tier faults -------------------------------------------------------------

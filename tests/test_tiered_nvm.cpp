@@ -86,13 +86,13 @@ TEST(NvmBackendTest, CapacityEnforced)
     EXPECT_DOUBLE_EQ(nvm.utilization(), 1.0);
 }
 
-TEST(NvmBackendTest, HostAnonModeNvm)
+TEST(NvmBackendTest, HostNvmChain)
 {
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto &app = machine.addApp(
         workload::appPreset("ads_a", 512ull << 20),
-        host::AnonMode::NVM);
+        tier::TierChainSpec::parse("nvm"));
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -110,7 +110,8 @@ TEST(TieredTest, ColdPagesGoToSsdWarmToZswap)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::TIERED);
+    auto &app = machine.addApp(
+        profile, tier::TierChainSpec::parse("zswap+ssd@workingset"));
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -146,7 +147,8 @@ TEST(TieredTest, IncompressibleFallsThroughToSsd)
     // Incompressible workload: the zswap tier rejects; the tiered
     // policy must still make progress through the SSD.
     auto profile = workload::appPreset("ads_b", 512ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::TIERED);
+    auto &app = machine.addApp(
+        profile, tier::TierChainSpec::parse("zswap+ssd@workingset"));
     machine.memory().memcgOf(app.cgroup()).compressibility = 1.0;
     machine.start();
     app.start();
@@ -169,7 +171,8 @@ TEST(TieredTest, PoolCapBoundsZswapDram)
     config.zswap.maxPoolBytes = 8ull << 20; // tiny warm tier
     host::Host machine(simulation, config);
     auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::TIERED);
+    auto &app = machine.addApp(
+        profile, tier::TierChainSpec::parse("zswap+ssd@workingset"));
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -186,7 +189,8 @@ TEST(TieredTest, LoadsResolveFromTheRightTier)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto profile = workload::appPreset("feed", 256ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::TIERED);
+    auto &app = machine.addApp(
+        profile, tier::TierChainSpec::parse("zswap+ssd@workingset"));
     machine.start();
     app.start();
     simulation.runUntil(5 * sim::SEC);
@@ -219,7 +223,8 @@ TEST(TieredTest, SenpaiWorksUnchangedOnTieredBackend)
     sim::Simulation simulation;
     host::Host machine(simulation, hostConfig());
     auto profile = workload::appPreset("feed", 512ull << 20);
-    auto &app = machine.addApp(profile, host::AnonMode::TIERED);
+    auto &app = machine.addApp(
+        profile, tier::TierChainSpec::parse("zswap+ssd@workingset"));
     machine.start();
     app.start();
     core::Senpai senpai(simulation, machine.memory(), app.cgroup());
