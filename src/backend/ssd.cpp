@@ -42,12 +42,6 @@ ssdSpecForClass(char device_class)
     }
 }
 
-bool
-isValidSsdClass(char device_class)
-{
-    return device_class >= 'A' && device_class <= 'G';
-}
-
 SsdDevice::SsdDevice(SsdSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)), rng_(seed), faultRng_(seed ^ 0x5afa5afaull)
 {}

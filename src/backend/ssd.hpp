@@ -49,13 +49,9 @@ struct SsdSpec {
  * improves by ~20x across generations (9.3 ms worst-case read p99 down
  * to 470 us); IOPS are comparatively stable; endurance improves but
  * stays limited. Fig. 12's "slow SSD" is class B and "fast SSD" is
- * class C.
+ * class C. Throws std::invalid_argument for any other class.
  */
 SsdSpec ssdSpecForClass(char device_class);
-
-/** True when @p device_class names a fleet class ('A'..'G'). Use for
- *  parse-time CLI validation, before any host is built. */
-bool isValidSsdClass(char device_class);
 
 /**
  * Queued SSD device instance. Reads and writes are serviced from

@@ -22,12 +22,6 @@ compressorPreset(const std::string &name)
                                 "' (expected lzo|lz4|zstd)");
 }
 
-bool
-isKnownCompressor(const std::string &name)
-{
-    return name == "lzo" || name == "lz4" || name == "zstd";
-}
-
 AllocatorSpec
 allocatorPreset(const std::string &name)
 {
@@ -39,12 +33,6 @@ allocatorPreset(const std::string &name)
         return {"zsmalloc", 0.0, 1.05};
     throw std::invalid_argument("unknown allocator '" + name +
                                 "' (expected zbud|z3fold|zsmalloc)");
-}
-
-bool
-isKnownAllocator(const std::string &name)
-{
-    return name == "zbud" || name == "z3fold" || name == "zsmalloc";
 }
 
 ZswapPool::ZswapPool(ZswapConfig config, std::uint64_t seed)

@@ -47,17 +47,13 @@ struct AllocatorSpec {
     double overhead = 1.05;
 };
 
-/** Named compressor presets: "lzo", "lz4", "zstd". */
+/** Named compressor presets: "lzo", "lz4", "zstd". Throws
+ *  std::invalid_argument for any other name. */
 CompressorSpec compressorPreset(const std::string &name);
 
-/** True when @p name is a known compressor (parse-time validation). */
-bool isKnownCompressor(const std::string &name);
-
-/** Named allocator presets: "zbud", "z3fold", "zsmalloc". */
+/** Named allocator presets: "zbud", "z3fold", "zsmalloc". Throws
+ *  std::invalid_argument for any other name. */
 AllocatorSpec allocatorPreset(const std::string &name);
-
-/** True when @p name is a known allocator (parse-time validation). */
-bool isKnownAllocator(const std::string &name);
 
 /** Configuration of a zswap pool. */
 struct ZswapConfig {

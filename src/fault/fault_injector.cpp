@@ -186,6 +186,14 @@ FaultInjector::apply(const FaultEvent &event)
     }
 }
 
+void
+FaultInjector::carryCounts(const FaultInjector &previous)
+{
+    injected_ += previous.injected_;
+    for (std::size_t k = 0; k < perKind_.size(); ++k)
+        perKind_[k] += previous.perKind_[k];
+}
+
 core::StatsRow
 FaultInjector::statsRow() const
 {
@@ -197,6 +205,53 @@ FaultInjector::statsRow() const
     rows.emplace_back("degradation events",
                       std::to_string(hostDegradationEvents(host_)));
     return rows;
+}
+
+FleetFaultInjector::FleetFaultInjector(host::Fleet &fleet,
+                                       std::vector<FaultPlan> plans)
+    : plans_(std::move(plans)), injectors_(plans_.size())
+{
+    for (std::size_t i = 0; i < plans_.size(); ++i)
+        if (!plans_[i].empty())
+            arm(i, fleet.host(i), plans_[i]);
+    fleet.onHostRestart([this, &fleet](std::size_t i,
+                                       host::Host &machine) {
+        if (plans_[i].empty())
+            return;
+        FaultPlan rest;
+        for (const auto &event : plans_[i].events)
+            if (event.at > fleet.now())
+                rest.events.push_back(event);
+        arm(i, machine, std::move(rest));
+    });
+}
+
+void
+FleetFaultInjector::arm(std::size_t i, host::Host &machine,
+                        FaultPlan plan)
+{
+    auto next = std::make_unique<FaultInjector>(machine, std::move(plan));
+    if (injectors_[i])
+        next->carryCounts(*injectors_[i]);
+    next->arm();
+    injectors_[i] = std::move(next);
+}
+
+bool
+FleetFaultInjector::empty() const
+{
+    return std::all_of(injectors_.begin(), injectors_.end(),
+                       [](const auto &injector) { return !injector; });
+}
+
+std::uint64_t
+FleetFaultInjector::injected() const
+{
+    std::uint64_t total = 0;
+    for (const auto &injector : injectors_)
+        if (injector)
+            total += injector->injected();
+    return total;
 }
 
 } // namespace tmo::fault

@@ -16,10 +16,13 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "backend/backend.hpp"
 #include "core/controller.hpp"
 #include "fault/fault_plan.hpp"
+#include "host/fleet.hpp"
 #include "host/host.hpp"
 
 namespace tmo::fault
@@ -51,8 +54,6 @@ class FaultInjector
      */
     void arm();
 
-    const FaultPlan &plan() const { return plan_; }
-
     /** Events injected so far. */
     std::uint64_t injected() const { return injected_; }
 
@@ -67,6 +68,10 @@ class FaultInjector
      *  counters, current backend status). */
     core::StatsRow statsRow() const;
 
+    /** Add @p previous's counts to this injector's: the host this
+     *  injector serves is a rebuilt incarnation of @p previous's. */
+    void carryCounts(const FaultInjector &previous);
+
   private:
     void apply(const FaultEvent &event);
 
@@ -75,6 +80,43 @@ class FaultInjector
     bool armed_ = false;
     std::uint64_t injected_ = 0;
     std::array<std::uint64_t, NUM_FAULT_KINDS> perKind_{};
+};
+
+/**
+ * Delivers plans[i] to fleet host i (an empty plan arms nothing),
+ * across host restarts: a rebuilt host resumes its plan with the
+ * events after Fleet::now(), since arm() fires past events at once and
+ * would replay the crash that killed it. A host's counts carry over
+ * from one incarnation to the next. The fleet must not run() after
+ * this object dies: its restart hook holds `this`.
+ */
+class FleetFaultInjector
+{
+  public:
+    FleetFaultInjector(host::Fleet &fleet, std::vector<FaultPlan> plans);
+
+    FleetFaultInjector(const FleetFaultInjector &) = delete;
+    FleetFaultInjector &operator=(const FleetFaultInjector &) = delete;
+
+    /** Host @p i's current injector, counting every incarnation;
+     *  nullptr when its plan is empty. */
+    const FaultInjector *
+    host(std::size_t i) const
+    {
+        return injectors_[i].get();
+    }
+
+    /** True when no host has a plan. */
+    bool empty() const;
+
+    /** Events injected fleet-wide, every incarnation of every host. */
+    std::uint64_t injected() const;
+
+  private:
+    void arm(std::size_t i, host::Host &machine, FaultPlan plan);
+
+    std::vector<FaultPlan> plans_;
+    std::vector<std::unique_ptr<FaultInjector>> injectors_;
 };
 
 } // namespace tmo::fault

@@ -1,6 +1,8 @@
 #include "host/controller_registry.hpp"
 
+#include <cmath>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -109,32 +111,31 @@ const Entry REGISTRY[] = {
      }},
 };
 
+/** An override must be finite and >= 0 (0 keeps the default); a
+ *  ratio (PSI thresholds are fractions of wall time) must also be
+ *  <= 1. */
+void
+checkOverride(const char *field, double value, bool ratio)
+{
+    if (std::isfinite(value) && value >= 0.0 && (!ratio || value <= 1.0))
+        return;
+    std::ostringstream message;
+    message << "controller option " << field << " must be finite and "
+            << (ratio ? "in [0, 1]" : ">= 0")
+            << " (0 = config default), got " << value;
+    throw std::invalid_argument(message.str());
+}
+
 } // namespace
-
-const std::vector<std::string> &
-knownControllers()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> out;
-        for (const auto &entry : REGISTRY)
-            out.emplace_back(entry.name);
-        return out;
-    }();
-    return names;
-}
-
-bool
-isKnownController(const std::string &name)
-{
-    for (const auto &entry : REGISTRY)
-        if (name == entry.name)
-            return true;
-    return false;
-}
 
 ControllerFactory
 controllerFactoryFor(const std::string &name, ControllerOptions options)
 {
+    checkOverride("psiThreshold", options.psiThreshold, true);
+    checkOverride("ioPsiThreshold", options.ioPsiThreshold, true);
+    checkOverride("reclaimRatio", options.reclaimRatio, true);
+    checkOverride("maxProbeRatio", options.maxProbeRatio, true);
+    checkOverride("sloP99Us", options.sloP99Us, false);
     for (const auto &entry : REGISTRY) {
         if (name != entry.name)
             continue;
@@ -143,7 +144,11 @@ controllerFactoryFor(const std::string &name, ControllerOptions options)
             return build(host, options);
         };
     }
-    throw std::invalid_argument("unknown controller: " + name);
+    std::string known;
+    for (const auto &entry : REGISTRY)
+        known += (known.empty() ? "" : "|") + std::string(entry.name);
+    throw std::invalid_argument("unknown controller: " + name +
+                                " (expected " + known + ")");
 }
 
 } // namespace tmo::host

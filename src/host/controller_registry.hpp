@@ -13,7 +13,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/senpai.hpp"
 #include "host/fleet_spec.hpp"
@@ -21,7 +20,9 @@
 namespace tmo::host
 {
 
-/** Cross-cutting knobs a CLI can thread into any named controller. */
+/** Cross-cutting knobs a CLI can thread into any named controller;
+ *  0 keeps the config default. controllerFactoryFor() rejects NaN,
+ *  inf, negatives, and ratios (PSI thresholds included) above 1. */
 struct ControllerOptions {
     /** >0 overrides the Senpai-family PSI threshold. */
     double psiThreshold = 0.0;
@@ -38,12 +39,6 @@ struct ControllerOptions {
     double sloP99Us = 0.0;
 };
 
-/** Names controllerFactoryFor() accepts, in usage order. */
-const std::vector<std::string> &knownControllers();
-
-/** Whether @p name resolves (for parse-time CLI validation). */
-bool isKnownController(const std::string &name);
-
 /**
  * Factory for a named controller:
  *   none              no controller (factory yields nullptr)
@@ -54,7 +49,8 @@ bool isKnownController(const std::string &name);
  *                     enabled; plain senpai behaviour otherwise)
  *   tmo               TmoDaemon, priority-scaled per container
  *   gswap             one g-swap baseline per container
- * Throws std::invalid_argument for an unknown name.
+ * Throws std::invalid_argument for an unknown name or an out-of-range
+ * @p options field, naming the field.
  */
 ControllerFactory controllerFactoryFor(const std::string &name,
                                        ControllerOptions options = {});

@@ -119,10 +119,8 @@ class Fleet
 
     /**
      * Called (main thread, epoch barrier, shard-index order) right
-     * after a host is rebuilt and restarted — the hook for tools to
-     * re-attach per-host state such as fault injectors. Only events
-     * scheduled after now() should be re-armed: FaultInjector::arm
-     * fires past events immediately.
+     * after a host is rebuilt and restarted — the hook through which
+     * fault::FleetFaultInjector re-arms the host's fault plan.
      */
     void onHostRestart(std::function<void(std::size_t, Host &)> hook)
     {

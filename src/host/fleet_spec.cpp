@@ -1,6 +1,7 @@
 #include "host/fleet_spec.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "host/controller_registry.hpp"
 #include "host/fleet.hpp"
@@ -8,17 +9,43 @@
 namespace tmo::host
 {
 
+namespace
+{
+
+/** @p mb MiB in bytes; a named error for 0 or a wrapping size. */
+std::uint64_t
+mibToBytes(const char *what, std::uint64_t mb)
+{
+    constexpr std::uint64_t limit = std::uint64_t{1} << 44;
+    if (mb == 0 || mb >= limit)
+        throw std::invalid_argument(
+            std::string(what) + " must be in [1, " +
+            std::to_string(limit - 1) + "] MiB, got " +
+            std::to_string(mb));
+    return mb << 20;
+}
+
+} // namespace
+
+HostBuilder &
+HostBuilder::ram_mb(std::uint64_t mb)
+{
+    config_.mem.ramBytes = mibToBytes("ram_mb: RAM size", mb);
+    return *this;
+}
+
 HostBuilder &
 HostBuilder::workload(const std::string &preset,
                       std::uint64_t footprint_mb)
 {
+    const std::uint64_t footprint =
+        mibToBytes("workload: footprint", footprint_mb);
     workload::AppProfile profile;
     try {
-        profile = workload::appPreset(preset, footprint_mb << 20);
+        profile = workload::appPreset(preset, footprint);
     } catch (const std::invalid_argument &) {
-        // Sidecar/tax presets share the vocabulary (tmo_sim does the
-        // same fallback).
-        profile = workload::sidecarPreset(preset, footprint_mb << 20);
+        // Sidecar/tax presets share the vocabulary.
+        profile = workload::sidecarPreset(preset, footprint);
     }
     AppSpec spec;
     spec.profile = std::move(profile);

@@ -88,12 +88,9 @@ class HostBuilder
         return *this;
     }
 
-    HostBuilder &
-    ram_mb(std::uint64_t mb)
-    {
-        config_.mem.ramBytes = mb << 20;
-        return *this;
-    }
+    /** Host DRAM. Throws std::invalid_argument for 0 MiB or a size
+     *  whose byte count would not fit in 64 bits. */
+    HostBuilder &ram_mb(std::uint64_t mb);
 
     HostBuilder &
     page_kb(std::uint64_t kb)
@@ -180,7 +177,8 @@ class HostBuilder
 
     /**
      * Add an app or sidecar preset by name (the tmo_sim vocabulary).
-     * Throws std::invalid_argument for an unknown preset.
+     * Throws std::invalid_argument for an unknown preset, a 0 MiB
+     * footprint, or one whose byte count would not fit in 64 bits.
      */
     HostBuilder &workload(const std::string &preset,
                           std::uint64_t footprint_mb = 1024);

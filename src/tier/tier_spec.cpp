@@ -162,17 +162,4 @@ TierChainSpec::parse(const std::string &text)
     return spec;
 }
 
-bool
-isValidTierChainSpec(const std::string &text, std::string *error)
-{
-    try {
-        (void)TierChainSpec::parse(text);
-        return true;
-    } catch (const std::invalid_argument &e) {
-        if (error)
-            *error = e.what();
-        return false;
-    }
-}
-
 } // namespace tmo::tier

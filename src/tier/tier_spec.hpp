@@ -91,12 +91,4 @@ struct TierChainSpec {
     bool operator==(const TierChainSpec &) const = default;
 };
 
-/**
- * Parse-time validation: true when @p text is a well-formed chain
- * spec; otherwise false with the parse error in @p error (when
- * non-null). Mirrors the CLI convention of named errors + exit 2.
- */
-bool isValidTierChainSpec(const std::string &text,
-                          std::string *error = nullptr);
-
 } // namespace tmo::tier

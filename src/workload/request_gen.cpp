@@ -152,19 +152,6 @@ TrafficSpec::parse(const std::string &text)
     return spec;
 }
 
-bool
-isValidTrafficSpec(const std::string &text, std::string *error)
-{
-    try {
-        TrafficSpec::parse(text);
-        return true;
-    } catch (const std::invalid_argument &e) {
-        if (error)
-            *error = e.what();
-        return false;
-    }
-}
-
 RequestServer::RequestServer(unsigned workers, sim::SimTime queue_limit)
     : freeAt_(std::max(1u, workers), 0), queueLimit_(queue_limit)
 {

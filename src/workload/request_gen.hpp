@@ -85,10 +85,6 @@ struct TrafficSpec {
     static TrafficSpec parse(const std::string &text);
 };
 
-/** parse() wrapper for CLI validation: false + error message instead
- *  of a throw. */
-bool isValidTrafficSpec(const std::string &text, std::string *error);
-
 /** Outcome of offering one request to a RequestServer. */
 struct RequestOutcome {
     /** False when the queue wait exceeded the limit (request shed). */

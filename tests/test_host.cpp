@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "host/fleet.hpp"
 #include "host/host.hpp"
 #include "stats/timeseries.hpp"
@@ -218,4 +221,19 @@ TEST(HostTest, CrossAppCpuContentionMakesCpuPressure)
     // do not.
     EXPECT_EQ(alone, 0u);
     EXPECT_GT(contended, sim::SEC);
+}
+
+TEST(HostBuilderTest, RejectsZeroAndWrappingSizes)
+{
+    // A 0 MiB host used to run (and report resident memory it did not
+    // have); sizes past 2^44 MiB used to wrap the MiB -> byte shift.
+    const std::uint64_t wraps = std::uint64_t{1} << 44;
+    for (const std::uint64_t mb : {std::uint64_t{0}, wraps}) {
+        EXPECT_THROW(host::HostBuilder{}.ram_mb(mb), std::invalid_argument)
+            << mb;
+        EXPECT_THROW(host::HostBuilder{}.workload("feed", mb),
+                     std::invalid_argument)
+            << mb;
+    }
+    EXPECT_NO_THROW(host::HostBuilder{}.ram_mb(1).workload("feed", 1));
 }

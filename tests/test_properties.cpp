@@ -75,6 +75,17 @@ struct ReclaimSweepParam {
     mem::ReclaimMode mode;
 };
 
+// Printed into the ctest name; without it gtest dumps the struct's raw
+// bytes, padding included, so the name depended on stack garbage.
+void PrintTo(const ReclaimSweepParam &param, std::ostream *os)
+{
+    *os << param.footprint_mb << " MiB reclaim " << param.target_mb
+        << " MiB" << (param.zswap ? " via zswap" : " via ssd")
+        << (param.mode == mem::ReclaimMode::TMO_BALANCED
+                ? ", tmo-balanced"
+                : ", legacy-file-first");
+}
+
 class ReclaimPropertyTest
     : public ::testing::TestWithParam<ReclaimSweepParam>
 {};

@@ -97,19 +97,17 @@ TEST(TrafficSpecTest, RejectsMalformedSpecsWithNamedErrors)
           "flat:rps=1e9", "diurnal:rps=100,amp=1.5",
           "flat:rps=100,bogus=1", "spike:rps=100,mult=5",
           "flat:rps=abc"}) {
-        EXPECT_THROW(workload::TrafficSpec::parse(bad),
-                     std::invalid_argument)
-            << bad;
-        std::string error;
-        EXPECT_FALSE(workload::isValidTrafficSpec(bad, &error)) << bad;
-        EXPECT_NE(error.find("bad traffic spec"), std::string::npos)
-            << error;
+        try {
+            workload::TrafficSpec::parse(bad);
+            ADD_FAILURE() << bad;
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find("bad traffic spec"),
+                      std::string::npos)
+                << error.what();
+        }
     }
-    std::string error;
-    EXPECT_TRUE(workload::isValidTrafficSpec(
-        "diurnal:rps=200,amp=0.6,period-min=60,queue-ms=250",
-        &error));
-    EXPECT_TRUE(error.empty());
+    EXPECT_NO_THROW(workload::TrafficSpec::parse(
+        "diurnal:rps=200,amp=0.6,period-min=60,queue-ms=250"));
 }
 
 // --- RequestServer -------------------------------------------------------

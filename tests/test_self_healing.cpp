@@ -183,25 +183,7 @@ TEST(HostRestartTest, RecoveryIsBitIdenticalAcrossJobs)
             "t=260 kind=ssd-online\n");
         plans[2] = fault::FaultPlan::parseString(
             "t=90 kind=host-crash\n");
-        std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-        for (std::size_t i = 0; i < fleet.size(); ++i) {
-            if (plans[i].empty())
-                continue;
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                fleet.host(i), plans[i]));
-            injectors.back()->arm();
-        }
-        fleet.onHostRestart([&](std::size_t i, host::Host &machine) {
-            fault::FaultPlan rest;
-            for (const auto &event : plans[i].events)
-                if (event.at > fleet.now())
-                    rest.events.push_back(event);
-            if (rest.empty())
-                return;
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                machine, std::move(rest)));
-            injectors.back()->arm();
-        });
+        const fault::FleetFaultInjector faults(fleet, std::move(plans));
 
         fleet.run(6 * sim::MINUTE, jobs);
         EXPECT_TRUE(fleet.auditViolations().empty());
@@ -220,6 +202,31 @@ TEST(HostRestartTest, RecoveryIsBitIdenticalAcrossJobs)
     };
 
     EXPECT_EQ(digest(1), digest(4));
+}
+
+TEST(HostRestartTest, FaultCountsSurviveRestarts)
+{
+    host::Fleet fleet = fleetSpec(2, 11).build();
+    fleet.setRestartPolicy(restartPolicy(3));
+    fleet.start();
+    std::vector<fault::FaultPlan> plans(fleet.size());
+    plans[0] = fault::FaultPlan::parseString(
+        "t=45 kind=host-crash\n"
+        "t=200 kind=ssd-write-error arg=0.4\n"
+        "t=260 kind=ssd-online\n");
+    const fault::FleetFaultInjector faults(fleet, std::move(plans));
+
+    fleet.run(6 * sim::MINUTE);
+
+    // The rebuilt host's injector counts the crash that killed its
+    // predecessor as well as the two events it delivered itself.
+    ASSERT_EQ(fleet.restartedCount(), 1u);
+    ASSERT_NE(faults.host(0), nullptr);
+    EXPECT_EQ(faults.host(1), nullptr);
+    EXPECT_EQ(faults.host(0)->injected(), 3u);
+    EXPECT_EQ(faults.host(0)->injectedOf(fault::FaultKind::HOST_CRASH),
+              1u);
+    EXPECT_EQ(faults.injected(), 3u);
 }
 
 TEST(FleetCollectTest, FrozenHostsStayOutOfFleetPercentiles)
@@ -615,23 +622,7 @@ TEST(SelfHealingAcceptanceTest, CrashAndTierOutagePlanHealsCompletely)
         plans[1] = fault::FaultPlan::parseString(
             "t=90 kind=tier-offline arg=1\n"
             "t=240 kind=tier-online arg=1\n");
-        std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-        for (std::size_t i = 0; i < fleet.size(); ++i) {
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                fleet.host(i), plans[i]));
-            injectors.back()->arm();
-        }
-        fleet.onHostRestart([&](std::size_t i, host::Host &machine) {
-            fault::FaultPlan rest;
-            for (const auto &event : plans[i].events)
-                if (event.at > fleet.now())
-                    rest.events.push_back(event);
-            if (rest.empty())
-                return;
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                machine, std::move(rest)));
-            injectors.back()->arm();
-        });
+        const fault::FleetFaultInjector faults(fleet, std::move(plans));
 
         fleet.run(10 * sim::MINUTE, jobs);
 

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "core/senpai.hpp"
 #include "core/write_regulator.hpp"
+#include "host/controller_registry.hpp"
 #include "host/host.hpp"
 #include "workload/app_profile.hpp"
 
@@ -278,4 +284,36 @@ TEST(SenpaiTest, StopHaltsControl)
     simulation.runUntil(3 * sim::MINUTE);
     EXPECT_EQ(senpai.totalRequested(), requested);
     EXPECT_FALSE(senpai.running());
+}
+
+TEST(SenpaiConfigTest, ControllerOptionsFailClosed)
+{
+    // An override the controller cannot honour is a named error, not
+    // a silent fall-back to the default; 0 still means "default".
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<std::pair<double host::ControllerOptions::*, double>>
+        bad = {
+            {&host::ControllerOptions::psiThreshold, -1.0},
+            {&host::ControllerOptions::psiThreshold, 2.0},
+            {&host::ControllerOptions::ioPsiThreshold, nan},
+            {&host::ControllerOptions::reclaimRatio, nan},
+            {&host::ControllerOptions::reclaimRatio, 1.5},
+            {&host::ControllerOptions::maxProbeRatio, inf},
+            {&host::ControllerOptions::maxProbeRatio, -0.1},
+            {&host::ControllerOptions::sloP99Us, -5.0},
+            {&host::ControllerOptions::sloP99Us, inf},
+        };
+    for (const auto &[field, value] : bad) {
+        host::ControllerOptions options;
+        options.*field = value;
+        EXPECT_THROW(host::controllerFactoryFor("senpai", options),
+                     std::invalid_argument)
+            << value;
+    }
+    host::ControllerOptions defaults_and_edges;
+    defaults_and_edges.reclaimRatio = 1.0;
+    defaults_and_edges.sloP99Us = 5000.0;
+    EXPECT_NO_THROW(host::controllerFactoryFor("senpai-slo",
+                                               defaults_and_edges));
 }

@@ -18,65 +18,20 @@
  * host index) and the per-minute series switches to cross-host
  * percentiles; --jobs only changes wall-clock time, never the output.
  *
- * Flags (defaults in brackets):
- *   --app NAME           workload preset [feed]
- *   --footprint-mb N     workload footprint [1024]
- *   --ram-mb N           host DRAM [2048]
- *   --tiers SPEC         anon tier chain, fastest first, e.g.
- *                        zswap:256mb+ssd or zswap+zswap:1gb+nvm;
- *                        an "@workingset" suffix puts working-set
- *                        pages in the first tier and the rest in the
- *                        last; "none" disables anon offloading [zswap]
- *   --ssd-class C        SSD device class A-G [C]
- *   --zswap-compressor C lzo|lz4|zstd [zstd]
- *   --zswap-allocator A  zbud|z3fold|zsmalloc [zsmalloc]
- *   --controller C       none|senpai|senpai-aggressive|senpai-slo|
- *                        tmo|gswap [senpai]
- *   --psi-threshold F    Senpai pressure target override
- *   --io-psi-threshold F Senpai IO-pressure guard override
- *   --reclaim-ratio F    Senpai base reclaim step override
- *   --max-probe-ratio F  Senpai per-interval step cap override
- *   --trace-rps SPEC     request-level serving: open-loop Poisson
- *                        arrivals over a traffic curve, e.g.
- *                        flat:rps=2000 |
- *                        diurnal:rps=2000,amp=0.6,period-min=60 |
- *                        spike:rps=2000,mult=4,at-min=30,dur-min=10
- *                        (adds per-request p50/p99/p999 output)
- *   --slo-p99-us F       p99 latency target for --controller
- *                        senpai-slo [2000]
- *   --minutes N          simulated duration [60]
- *   --hosts N            fleet size [1]
- *   --jobs N             worker threads for the fleet engine [1]
- *   --epoch-sec N        lockstep barrier period [60]
- *   --seed N             RNG seed [42]
- *   --fault-plan FILE    scripted fault schedule, applied to every host
- *                        (lines: t=<sec> kind=<event> arg=<v>)
- *   --chaos SEED         additionally inject a random per-host fault
- *                        plan derived from SEED (deterministic)
- *   --csv                machine-readable series output
- *   --trace FILE         write the merged event trace (.jsonl/.csv,
- *                        anything else: Chrome trace-event JSON)
- *   --trace-buffer-mb N  per-host trace ring capacity [8]
- *   --metrics-out FILE   write sampled metric series (.jsonl/.csv)
- *   --metrics-interval-sec N  metric sampling period [6]
+ * `tmo --help` lists every flag with its range and default.
  */
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_options.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
-#include "host/controller_registry.hpp"
 #include "host/fleet.hpp"
-#include "obs/export.hpp"
 #include "stats/table.hpp"
-#include "stats/timeseries.hpp"
 #include "workload/app_profile.hpp"
 
 using namespace tmo;
@@ -84,273 +39,12 @@ using namespace tmo;
 namespace
 {
 
-struct Options {
-    std::string app = "feed";
-    std::uint64_t footprintMb = 1024;
-    std::uint64_t ramMb = 2048;
-    /** Simulated page size; smaller pages scale the per-host page
-     *  count up without scaling footprint (fleet-scale smoke). */
-    std::uint64_t pageKb = 64;
-    /** Tier chain spec ("zswap:256mb+ssd"). */
-    std::string tiers = "zswap";
-    char ssdClass = 'C';
-    std::string zswapCompressor = "zstd";
-    std::string zswapAllocator = "zsmalloc";
-    std::string controller = "senpai";
-    double psiThreshold = 0.0; // 0 = keep the config default
-    double ioPsiThreshold = 0.0;
-    double reclaimRatio = 0.0;
-    double maxProbeRatio = 0.0;
-    /** Traffic curve for request-level serving; empty = legacy
-     *  closed-form RPS model. */
-    std::string traceRps;
-    /** senpai-slo p99 target override (µs); 0 = config default. */
-    double sloP99Us = 0.0;
-    int minutes = 60;
-    std::size_t hosts = 1;
-    unsigned jobs = 1;
-    int epochSec = 60;
-    std::uint64_t seed = 42;
-    bool csv = false;
-    /** Scripted faults, parsed (and thus validated) at flag-parse
-     *  time; empty = none. */
-    fault::FaultPlan faultPlan;
-    std::optional<std::uint64_t> chaosSeed;
-    std::string traceFile;
-    std::uint64_t traceBufferMb = 8;
-    std::string metricsFile;
-    int metricsIntervalSec = 6;
-    /** Host rebuild budget after a crash; 0 = quarantine only. */
-    unsigned restartMax = 0;
-    int restartBackoffSec = 30;
-};
-
-void
-usage()
-{
-    std::cerr
-        << "usage: tmo_sim [--app NAME] [--footprint-mb N] "
-           "[--ram-mb N] [--page-kb N]\n"
-           "               [--tiers SPEC e.g. zswap:256mb+ssd, "
-           "zswap+ssd@workingset]\n"
-           "               [--ssd-class A-G]\n"
-           "               [--controller "
-           "none|senpai|senpai-aggressive|senpai-slo|tmo|gswap]\n"
-           "               [--trace-rps SPEC e.g. "
-           "diurnal:rps=2000,amp=0.6,period-min=60]\n"
-           "               [--slo-p99-us F]\n"
-           "               [--zswap-compressor lzo|lz4|zstd] "
-           "[--zswap-allocator zbud|z3fold|zsmalloc]\n"
-           "               [--psi-threshold F] [--io-psi-threshold F]\n"
-           "               [--reclaim-ratio F] [--max-probe-ratio F]\n"
-           "               [--minutes N] [--hosts N] [--jobs N]\n"
-           "               [--epoch-sec N] [--seed N] "
-           "[--fault-plan FILE] [--chaos SEED] [--csv]\n"
-           "               [--trace FILE] [--trace-buffer-mb N]\n"
-           "               [--metrics-out FILE] "
-           "[--metrics-interval-sec N]\n"
-           "               [--restart-max N] "
-           "[--restart-backoff-sec N]\n";
-}
-
-bool
-parse(int argc, char **argv, Options &options)
-{
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::cerr << "tmo_sim: missing value for " << argv[i]
-                      << "\n";
-            return nullptr;
-        }
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        const char *value = nullptr;
-        if (flag == "--csv") {
-            options.csv = true;
-        } else if (flag == "--help" || flag == "-h") {
-            return false;
-        } else if ((value = need_value(i)) == nullptr) {
-            return false;
-        } else if (flag == "--app") {
-            options.app = value;
-        } else if (flag == "--footprint-mb") {
-            options.footprintMb = std::stoull(value);
-        } else if (flag == "--ram-mb") {
-            options.ramMb = std::stoull(value);
-        } else if (flag == "--page-kb") {
-            options.pageKb = std::stoull(value);
-            if (options.pageKb == 0) {
-                std::cerr << "tmo_sim: --page-kb must be >= 1\n";
-                return false;
-            }
-        } else if (flag == "--tiers") {
-            // Validate now, not after the fleet is built: a malformed
-            // chain spec dies here with the parser's named error.
-            options.tiers = value;
-            std::string error;
-            if (!tier::isValidTierChainSpec(options.tiers, &error)) {
-                std::cerr << "tmo_sim: " << error << "\n";
-                return false;
-            }
-        } else if (flag == "--ssd-class") {
-            if (std::strlen(value) != 1 ||
-                !backend::isValidSsdClass(value[0])) {
-                std::cerr << "tmo_sim: unknown SSD class '" << value
-                          << "' (expected A-G)\n";
-                return false;
-            }
-            options.ssdClass = value[0];
-        } else if (flag == "--zswap-compressor") {
-            options.zswapCompressor = value;
-            if (!backend::isKnownCompressor(options.zswapCompressor)) {
-                std::cerr << "tmo_sim: unknown compressor '" << value
-                          << "' (expected lzo|lz4|zstd)\n";
-                return false;
-            }
-        } else if (flag == "--zswap-allocator") {
-            options.zswapAllocator = value;
-            if (!backend::isKnownAllocator(options.zswapAllocator)) {
-                std::cerr << "tmo_sim: unknown allocator '" << value
-                          << "' (expected zbud|z3fold|zsmalloc)\n";
-                return false;
-            }
-        } else if (flag == "--fault-plan") {
-            // Parse (and so validate) the plan file now: a malformed
-            // plan must die with a line-numbered error before any
-            // simulation state exists.
-            try {
-                options.faultPlan = fault::FaultPlan::fromFile(value);
-            } catch (const std::invalid_argument &error) {
-                std::cerr << "tmo_sim: " << error.what() << "\n";
-                return false;
-            }
-        } else if (flag == "--chaos") {
-            options.chaosSeed = std::stoull(value);
-        } else if (flag == "--controller") {
-            options.controller = value;
-            if (!host::isKnownController(options.controller)) {
-                std::cerr << "tmo_sim: unknown controller '"
-                          << options.controller << "' (expected ";
-                const auto &names = host::knownControllers();
-                for (std::size_t n = 0; n < names.size(); ++n)
-                    std::cerr << (n ? "|" : "") << names[n];
-                std::cerr << ")\n";
-                return false;
-            }
-        } else if (flag == "--psi-threshold") {
-            options.psiThreshold = std::stod(value);
-        } else if (flag == "--io-psi-threshold") {
-            options.ioPsiThreshold = std::stod(value);
-        } else if (flag == "--reclaim-ratio") {
-            options.reclaimRatio = std::stod(value);
-            if (options.reclaimRatio <= 0.0 ||
-                options.reclaimRatio > 1.0) {
-                std::cerr
-                    << "tmo_sim: --reclaim-ratio must be in (0, 1]\n";
-                return false;
-            }
-        } else if (flag == "--max-probe-ratio") {
-            options.maxProbeRatio = std::stod(value);
-            if (options.maxProbeRatio <= 0.0 ||
-                options.maxProbeRatio > 1.0) {
-                std::cerr
-                    << "tmo_sim: --max-probe-ratio must be in (0, 1]\n";
-                return false;
-            }
-        } else if (flag == "--trace-rps") {
-            // Fail fast with the parser's named error, never
-            // mid-build.
-            options.traceRps = value;
-            std::string error;
-            if (!workload::isValidTrafficSpec(options.traceRps,
-                                              &error)) {
-                std::cerr << "tmo_sim: " << error << "\n";
-                return false;
-            }
-        } else if (flag == "--slo-p99-us") {
-            options.sloP99Us = std::stod(value);
-            if (options.sloP99Us <= 0.0) {
-                std::cerr << "tmo_sim: --slo-p99-us must be > 0\n";
-                return false;
-            }
-        } else if (flag == "--minutes") {
-            options.minutes = std::stoi(value);
-        } else if (flag == "--hosts") {
-            options.hosts = std::stoull(value);
-            if (options.hosts == 0) {
-                std::cerr << "tmo_sim: --hosts must be >= 1\n";
-                return false;
-            }
-        } else if (flag == "--jobs") {
-            options.jobs =
-                static_cast<unsigned>(std::stoul(value));
-            if (options.jobs == 0) {
-                std::cerr << "tmo_sim: --jobs must be >= 1\n";
-                return false;
-            }
-        } else if (flag == "--epoch-sec") {
-            options.epochSec = std::stoi(value);
-            if (options.epochSec <= 0) {
-                std::cerr << "tmo_sim: --epoch-sec must be >= 1\n";
-                return false;
-            }
-        } else if (flag == "--seed") {
-            options.seed = std::stoull(value);
-        } else if (flag == "--trace") {
-            options.traceFile = value;
-        } else if (flag == "--trace-buffer-mb") {
-            options.traceBufferMb = std::stoull(value);
-            if (options.traceBufferMb == 0) {
-                std::cerr << "tmo_sim: --trace-buffer-mb must be "
-                             ">= 1\n";
-                return false;
-            }
-        } else if (flag == "--metrics-out") {
-            options.metricsFile = value;
-        } else if (flag == "--metrics-interval-sec") {
-            options.metricsIntervalSec = std::stoi(value);
-            if (options.metricsIntervalSec <= 0) {
-                std::cerr << "tmo_sim: --metrics-interval-sec must "
-                             "be >= 1\n";
-                return false;
-            }
-        } else if (flag == "--restart-max") {
-            options.restartMax =
-                static_cast<unsigned>(std::stoul(value));
-        } else if (flag == "--restart-backoff-sec") {
-            options.restartBackoffSec = std::stoi(value);
-            if (options.restartBackoffSec < 0) {
-                std::cerr << "tmo_sim: --restart-backoff-sec must "
-                             "be >= 0\n";
-                return false;
-            }
-        } else {
-            std::cerr << "tmo_sim: unknown flag: " << flag << "\n";
-            return false;
-        }
-    }
-    return true;
-}
-
 // --- per-host metrics (all read at epoch barriers) -----------------------
 
 workload::AppModel &
 primaryApp(host::Host &machine)
 {
     return *machine.apps().front();
-}
-
-double
-savingsPct(host::Host &machine)
-{
-    auto &app = primaryApp(machine);
-    if (!app.allocatedBytes())
-        return 0.0;
-    return 100.0 *
-           (1.0 - static_cast<double>(app.cgroup().memCurrent()) /
-                      static_cast<double>(app.allocatedBytes()));
 }
 
 double
@@ -384,6 +78,18 @@ fleetLatency(host::Fleet &fleet)
         });
 }
 
+/** Restart outcome rows, once a restart policy is set. */
+void
+addRestartRows(stats::Table &table, host::Fleet &fleet)
+{
+    if (fleet.restartPolicy().maxAttempts == 0)
+        return;
+    table.addRow(
+        {"hosts restarted", std::to_string(fleet.restartedCount())});
+    table.addRow({"hosts permanently failed",
+                  std::to_string(fleet.permanentlyFailedCount())});
+}
+
 void
 printSingleHostMinute(host::Host &machine, int minute, bool csv,
                       bool serving)
@@ -394,7 +100,7 @@ printSingleHostMinute(host::Host &machine, int minute, bool csv,
     const double resident_mb =
         static_cast<double>(app.cgroup().memCurrent()) / (1 << 20);
     std::cout << minute << "," << stats::fmt(resident_mb, 1) << ","
-              << stats::fmt(savingsPct(machine), 2) << ","
+              << stats::fmt(cli::savingsPct(machine), 2) << ","
               << stats::fmt(app.lastTick().completedRps, 0) << ","
               << stats::fmt(memPsiAvg60(machine), 4) << ","
               << stats::fmt(ioPsiAvg60(machine), 4) << ","
@@ -416,7 +122,7 @@ printFleetMinute(host::Fleet &fleet, int minute, bool csv,
 {
     if (!csv && minute % 10 != 0)
         return;
-    const auto savings = fleet.collect(savingsPct);
+    const auto savings = fleet.collect(cli::savingsPct);
     const auto pressure = fleet.collect(memPsiAvg60);
     const auto rps = fleet.collect([](host::Host &machine) {
         return primaryApp(machine).lastTick().completedRps;
@@ -445,7 +151,7 @@ printFleetMinute(host::Fleet &fleet, int minute, bool csv,
 
 void
 printSingleHostSummary(host::Fleet &fleet, host::Host &machine,
-                       const Options &options,
+                       const cli::TmoOptions &options,
                        const fault::FaultInjector *injector)
 {
     auto &app = primaryApp(machine);
@@ -491,23 +197,15 @@ printSingleHostSummary(host::Fleet &fleet, host::Host &machine,
     if (injector)
         for (const auto &[label, value] : injector->statsRow())
             table.addRow({label, value});
-    if (fleet.restartPolicy().maxAttempts > 0) {
-        table.addRow({"hosts restarted",
-                      std::to_string(fleet.restartedCount())});
-        table.addRow({"hosts permanently failed",
-                      std::to_string(
-                          fleet.permanentlyFailedCount())});
-    }
+    addRestartRows(table, fleet);
     table.print(std::cout);
 }
 
 void
-printFleetSummary(
-    host::Fleet &fleet, const Options &options,
-    const std::vector<std::unique_ptr<fault::FaultInjector>>
-        &injectors)
+printFleetSummary(host::Fleet &fleet, const cli::TmoOptions &options,
+                  const fault::FleetFaultInjector &faults)
 {
-    const auto savings = fleet.collect(savingsPct);
+    const auto savings = fleet.collect(cli::savingsPct);
     const auto pressure = fleet.collect(memPsiAvg60);
     const auto rps_retention =
         fleet.collect([](host::Host &machine) {
@@ -564,22 +262,8 @@ printFleetSummary(
                       stats::fmtQuantile(app_p99, 0.99, 1)});
     }
     table.addRow({"hosts failed", std::to_string(fleet.failedCount())});
-    if (fleet.restartPolicy().maxAttempts > 0) {
-        table.addRow({"hosts restarted",
-                      std::to_string(fleet.restartedCount())});
-        table.addRow({"hosts permanently failed",
-                      std::to_string(
-                          fleet.permanentlyFailedCount())});
-    }
-    std::uint64_t faults = 0;
-    bool any_injector = false;
-    for (const auto &injector : injectors) {
-        if (!injector)
-            continue;
-        any_injector = true;
-        faults += injector->injected();
-    }
-    if (any_injector) {
+    addRestartRows(table, fleet);
+    if (!faults.empty()) {
         std::size_t degraded = 0;
         for (std::size_t i = 0; i < fleet.size(); ++i)
             if (fault::hostBackendStatus(fleet.host(i)) !=
@@ -591,7 +275,8 @@ printFleetSummary(
                     fault::hostDegradationEvents(machine));
             });
         table.addRow({"hosts degraded", std::to_string(degraded)});
-        table.addRow({"faults injected", std::to_string(faults)});
+        table.addRow(
+            {"faults injected", std::to_string(faults.injected())});
         table.addRow({"degradation events P50",
                       stats::fmtQuantile(events, 0.5, 0)});
         table.addRow({"degradation events P99",
@@ -605,118 +290,36 @@ printFleetSummary(
 int
 main(int argc, char **argv)
 {
-    Options options;
-    if (!parse(argc, argv, options)) {
-        usage();
+    cli::TmoOptions options;
+    const auto table = cli::tmoOptionTable(options);
+    if (!table.parseCommandLine(argc, argv))
         return 2;
-    }
-
-    host::ControllerOptions controller_options;
-    controller_options.psiThreshold = options.psiThreshold;
-    controller_options.ioPsiThreshold = options.ioPsiThreshold;
-    controller_options.reclaimRatio = options.reclaimRatio;
-    controller_options.maxProbeRatio = options.maxProbeRatio;
-    controller_options.sloP99Us = options.sloP99Us;
-
-    // Zswap presets were validated at parse time, so these cannot
-    // throw.
-    host::HostConfig base_config;
-    base_config.zswap.compressor =
-        backend::compressorPreset(options.zswapCompressor);
-    base_config.zswap.allocator =
-        backend::allocatorPreset(options.zswapAllocator);
-
-    // "cxl" anywhere in the chain picks the CXL-DRAM NVM preset.
-    const bool wants_cxl = options.tiers.find("cxl") != std::string::npos;
+    const auto &run = options.run;
 
     host::Fleet fleet;
     try {
-        auto spec =
-            host::FleetSpec{}
-                .config(base_config)
-                .hosts(options.hosts)
-                .epoch(static_cast<sim::SimTime>(options.epochSec) *
-                       sim::SEC)
-                .name_prefix("cli")
-                .ram_mb(options.ramMb)
-                .page_kb(options.pageKb)
-                .ssd_class(options.ssdClass)
-                .nvm_preset(wants_cxl ? "cxl-dram" : "optane")
-                .seed(options.seed)
-                .tiers(options.tiers)
-                .workload(options.app, options.footprintMb)
-                .controller(host::controllerFactoryFor(
-                    options.controller, controller_options));
-        if (!options.traceRps.empty())
-            spec.traffic(options.traceRps);
-        fleet = spec.build();
+        fleet = options.fleetSpec().build();
     } catch (const std::invalid_argument &error) {
-        std::cerr << "tmo_sim: " << error.what() << "\n";
-        usage();
-        return 2;
+        return table.reject(error.what());
     }
-    if (!options.traceFile.empty())
-        fleet.enableTracing(
-            static_cast<std::size_t>(options.traceBufferMb) << 20);
-    if (!options.metricsFile.empty())
-        fleet.enableMetrics(
-            static_cast<sim::SimTime>(options.metricsIntervalSec) *
-            sim::SEC);
-    if (options.restartMax > 0) {
-        host::RestartPolicy policy;
-        policy.maxAttempts = options.restartMax;
-        policy.backoff =
-            static_cast<sim::SimTime>(options.restartBackoffSec) *
-            sim::SEC;
-        fleet.setRestartPolicy(policy);
-    }
+    run.configure(fleet);
     fleet.start();
 
     // Fault delivery: the scripted plan applies to every host; --chaos
     // layers a per-host random plan (seed mixed with the host index)
     // on top. Injection rides each host's own shard clock, so results
     // stay bit-identical for any --jobs.
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors(
-        fleet.size());
-    const auto duration =
-        static_cast<sim::SimTime>(options.minutes) * sim::MINUTE;
-    std::vector<fault::FaultPlan> plans(fleet.size());
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        fault::FaultPlan plan = options.faultPlan;
-        if (options.chaosSeed) {
+    std::vector<fault::FaultPlan> plans(fleet.size(), options.faultPlan);
+    if (options.chaosSeed)
+        for (std::size_t i = 0; i < fleet.size(); ++i) {
             const auto chaos = fault::FaultPlan::random(
-                *options.chaosSeed +
-                    (i + 1) * 0x9e3779b97f4a7c15ull,
-                duration);
-            plan.events.insert(plan.events.end(),
-                               chaos.events.begin(),
-                               chaos.events.end());
+                *options.chaosSeed + (i + 1) * 0x9e3779b97f4a7c15ull,
+                run.duration());
+            plans[i].events.insert(plans[i].events.end(),
+                                   chaos.events.begin(),
+                                   chaos.events.end());
         }
-        plans[i] = std::move(plan);
-        if (plans[i].empty())
-            continue;
-        injectors[i] = std::make_unique<fault::FaultInjector>(
-            fleet.host(i), plans[i]);
-        injectors[i]->arm();
-    }
-
-    // A rebuilt host resumes its plan from the fleet clock onward:
-    // arm() fires past events immediately, so re-arming the full plan
-    // would replay the crash that killed the host.
-    fleet.onHostRestart([&fleet, &plans, &injectors](
-                            std::size_t i, host::Host &machine) {
-        fault::FaultPlan rest;
-        for (const auto &event : plans[i].events)
-            if (event.at > fleet.now())
-                rest.events.push_back(event);
-        if (rest.empty()) {
-            injectors[i].reset();
-            return;
-        }
-        injectors[i] = std::make_unique<fault::FaultInjector>(
-            machine, std::move(rest));
-        injectors[i]->arm();
-    });
+    const fault::FleetFaultInjector faults(fleet, std::move(plans));
 
     const bool fleet_mode = fleet.size() > 1;
     const bool serving = !options.traceRps.empty();
@@ -735,9 +338,9 @@ main(int argc, char **argv)
                                 "req_dropped");
         std::cout << "\n";
     }
-    for (int minute = 1; minute <= options.minutes; ++minute) {
+    for (int minute = 1; minute <= run.minutes; ++minute) {
         fleet.run(static_cast<sim::SimTime>(minute) * sim::MINUTE,
-                  options.jobs);
+                  run.jobs);
         if (fleet_mode)
             printFleetMinute(fleet, minute, options.csv, serving);
         else
@@ -747,23 +350,14 @@ main(int argc, char **argv)
 
     if (!options.csv) {
         if (fleet_mode)
-            printFleetSummary(fleet, options, injectors);
+            printFleetSummary(fleet, options, faults);
         else
             printSingleHostSummary(fleet, fleet.host(0), options,
-                                   injectors[0].get());
+                                   faults.host(0));
     }
 
     try {
-        if (!options.traceFile.empty())
-            obs::writeTraceFile(options.traceFile, fleet.traces());
-        if (!options.metricsFile.empty()) {
-            const auto merged = fleet.metricSeries();
-            std::vector<const stats::TimeSeries *> series;
-            series.reserve(merged.size());
-            for (const auto &s : merged)
-                series.push_back(&s);
-            obs::writeMetricsFile(options.metricsFile, series);
-        }
+        run.writeOutputs(fleet);
     } catch (const std::runtime_error &error) {
         std::cerr << "tmo_sim: " << error.what() << "\n";
         return 1;
